@@ -38,7 +38,6 @@ from pathlib import Path
 from .callgraph import ModuleCallGraph
 
 __all__ = [
-    "AQP_JOURNAL_IO",
     "CLASS_GUARDS",
     "CUBE_TABLES_IO",
     "ClassGuard",
@@ -68,8 +67,6 @@ SERVE_INSTRUMENT = "serve.instrument"
 SUFFSTATS_CACHE_IO = "incremental.suffstats_cache.io"
 #: ``CubeTableStore._io_lock`` — serializes table save/load pairs.
 CUBE_TABLES_IO = "storage.cubetables.io"
-#: ``WorkloadJournal._lock`` — serializes journal appends.
-AQP_JOURNAL_IO = "aqp.journal.io"
 
 #: Method-name suffix documenting the "caller holds the lock" contract.
 LOCKED_SUFFIX = "_locked"
@@ -79,8 +76,6 @@ _LOCK_ATTR_NAMES: dict[tuple[str, str], str] = {
     ("ServerState", "_rw"): SERVE_STATE_RW,
     ("SuffStatsCache", "_io_lock"): SUFFSTATS_CACHE_IO,
     ("CubeTableStore", "_io_lock"): CUBE_TABLES_IO,
-    ("WorkloadJournal", "_lock"): AQP_JOURNAL_IO,
-    ("AqpEngine", "_ilock"): SERVE_INSTRUMENT,
 }
 
 #: Module-global lock names, for ``with _INSTRUMENT_LOCK:``.

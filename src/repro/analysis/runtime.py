@@ -6,7 +6,7 @@ into the hot path:
 
 * Every instrumented lock (the serve :class:`~repro.serve.locks.RWLock`,
   plus the :class:`TrackedLock` wrappers around the instrument / cache /
-  journal mutexes) reports ``acquiring`` / ``acquired`` / ``released``
+  table-store mutexes) reports ``acquiring`` / ``acquired`` / ``released``
   through the module-level hooks below.  When no checker is installed the
   hooks are a global read and a ``None`` test — nothing else.
 
@@ -44,7 +44,6 @@ from repro.obs.catalog import (
 from repro.obs.metrics import get_registry
 
 from .guards import (
-    AQP_JOURNAL_IO,
     CUBE_TABLES_IO,
     SERVE_INSTRUMENT,
     SERVE_STATE_RW,
@@ -52,7 +51,6 @@ from .guards import (
 )
 
 __all__ = [
-    "AQP_JOURNAL_IO",
     "CUBE_TABLES_IO",
     "LockAssertionError",
     "LockCheckError",

@@ -15,7 +15,6 @@ from .fig11_scalability import (
 from .fig11e_incremental import run_fig11e
 from .fig12_characteristics import CharacteristicResult, run_fig12a, run_fig12b
 from .fig13_serve import Fig13Result, run_fig13
-from .fig14_aqp import Fig14Result, run_fig14
 from .tables import render_grid, render_series
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "Fig9Result",
     "Fig10Result",
     "Fig13Result",
-    "Fig14Result",
     "ScalingResult",
     "render_grid",
     "render_series",
@@ -43,5 +41,4 @@ __all__ = [
     "run_fig12a",
     "run_fig12b",
     "run_fig13",
-    "run_fig14",
 ]

@@ -48,7 +48,6 @@ from . import (
     run_fig12a,
     run_fig12b,
     run_fig13,
-    run_fig14,
 )
 
 
@@ -150,20 +149,6 @@ def _fig13(fast: bool):
     return run_fig13(**kwargs).render()
 
 
-def _fig14(fast: bool):
-    kwargs = (
-        dict(
-            repeats=5,
-            n_items=24,
-            n_months=4,
-            journal_path=None,
-        )
-        if fast
-        else {}
-    )
-    return run_fig14(**kwargs).render()
-
-
 FIGURES = {
     "fig7": _fig7,
     "fig8": _fig8,
@@ -179,7 +164,6 @@ FIGURES = {
     "fig12a": _fig12a,
     "fig12b": _fig12b,
     "fig13": _fig13,
-    "fig14": _fig14,
 }
 
 

@@ -30,12 +30,7 @@ the same instruments.
 """
 
 from .cache import StaleCacheError, SuffStatsCache
-from .deltas import (
-    month_append_delta,
-    month_split_store,
-    versions_behind,
-    window_end,
-)
+from .deltas import month_append_delta, month_split_store, window_end
 from .maintain import IncrementalCubeMaintainer
 from .tables import build_cube_tables
 
@@ -46,6 +41,5 @@ __all__ = [
     "build_cube_tables",
     "month_append_delta",
     "month_split_store",
-    "versions_behind",
     "window_end",
 ]

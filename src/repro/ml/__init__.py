@@ -8,7 +8,7 @@ from .classify import (
     misclassification_rate,
 )
 from .exceptions import FitError, ModelError, NotFittedError
-from .linear import LinearRegression, fit_ridge_per_row
+from .linear import LinearRegression
 from .metrics import (
     CrossValidationEstimator,
     ErrorEstimate,
@@ -18,7 +18,6 @@ from .metrics import (
     mse,
     rmse,
 )
-from .regression_tree import RegressionTree
 from .suffstats import (
     LinearSuffStats,
     RowProducts,
@@ -41,13 +40,11 @@ __all__ = [
     "LinearSuffStats",
     "ModelError",
     "NotFittedError",
-    "RegressionTree",
     "RowProducts",
     "StackedSuffStats",
     "TrainingSetEstimator",
     "add_intercept",
     "default_model_factory",
-    "fit_ridge_per_row",
     "mse",
     "prefix_stats",
     "rmse",

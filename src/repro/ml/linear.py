@@ -110,20 +110,3 @@ class LinearRegression:
         status = "fitted" if self.is_fitted else "unfitted"
         return f"LinearRegression(intercept={self.fit_intercept}, {status})"
 
-
-def fit_ridge_per_row(
-    design: np.ndarray, y: np.ndarray, ridge_per_row: float
-) -> np.ndarray:
-    """Ridge coefficients with the penalty scaled by the row count.
-
-    Solves ``(X'X + n·λ·I) β = X'y`` for ``λ = ridge_per_row``.  Scaling
-    the Tikhonov term with ``n`` makes the solution invariant under
-    workload replication — duplicating every row k-fold multiplies both
-    ``X'X`` and ``X'y`` and the penalty by k, leaving β unchanged — which
-    is what lets the AQP tier's tolerance estimate stay monotone as the
-    training workload grows.  ``design`` must already carry its intercept
-    column (no column is added).
-    """
-    design = np.asarray(design, dtype=np.float64)
-    lam = float(ridge_per_row) * len(design)
-    return LinearRegression(fit_intercept=False, ridge=lam).fit(design, y).coef

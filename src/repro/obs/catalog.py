@@ -100,23 +100,6 @@ SERVE_LATENCY_REGIONS = "serve.latency.regions.s"
 SERVE_LATENCY_CUBE = "serve.latency.cube.s"
 SERVE_LATENCY_BELLWETHER = "serve.latency.bellwether.s"
 SERVE_LATENCY_PREDICT = "serve.latency.predict.s"
-SERVE_LATENCY_AQP = "serve.latency.aqp.s"
-SERVE_LATENCY_AQP_TRAIN = "serve.latency.aqp_train.s"
-
-# ------------------------------------------------- approximate answering (AQP)
-# Counted by repro.aqp: queries asking mode=approx, how many were answered
-# from the learned surface vs fell back to the exact cube-table path (and
-# why — the engine annotates the reason on the response, the counter sums
-# them), model (re)trains split out by drift-triggered ones, workload
-# journal appends, and journal read/decode failures (after which serving
-# degrades to exact-only until a successful retrain).
-AQP_QUERIES = "aqp.queries"
-AQP_APPROX_ANSWERS = "aqp.approx_answers"
-AQP_FALLBACKS = "aqp.fallbacks"
-AQP_TRAINS = "aqp.trains"
-AQP_DRIFT_RETRAINS = "aqp.drift_retrains"
-AQP_JOURNAL_RECORDS = "aqp.journal_records"
-AQP_JOURNAL_ERRORS = "aqp.journal_errors"
 
 # ------------------------------------------------- runtime lock checking
 # Counted by repro.analysis.runtime when the opt-in lock checker is on
@@ -165,13 +148,6 @@ COUNTERS: tuple[str, ...] = (
     SERVE_CACHE_MISSES,
     SERVE_VERSION_ADOPTIONS,
     SERVE_ZERO_SCAN_QUERIES,
-    AQP_QUERIES,
-    AQP_APPROX_ANSWERS,
-    AQP_FALLBACKS,
-    AQP_TRAINS,
-    AQP_DRIFT_RETRAINS,
-    AQP_JOURNAL_RECORDS,
-    AQP_JOURNAL_ERRORS,
     ANALYSIS_LOCK_ACQUISITIONS,
     ANALYSIS_LOCK_EDGES,
     ANALYSIS_LOCK_ASSERTS,
@@ -189,8 +165,6 @@ HISTOGRAMS: tuple[str, ...] = (
     SERVE_LATENCY_CUBE,
     SERVE_LATENCY_BELLWETHER,
     SERVE_LATENCY_PREDICT,
-    SERVE_LATENCY_AQP,
-    SERVE_LATENCY_AQP_TRAIN,
 )
 
 

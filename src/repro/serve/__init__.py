@@ -11,12 +11,11 @@ deltas live through the PR 3 patch-forward path.
 
 Quickstart::
 
-    python -m repro.serve --port 8000 --backend npz --aqp
+    python -m repro.serve --port 8000 --backend npz
     curl -s localhost:8000/model
     curl -s -X POST localhost:8000/bellwether -d '{"budget": 50}'
-    curl -s -X POST localhost:8000/aqp/train
-    curl -s -X POST localhost:8000/bellwether \
-        -d '{"budget": 50, "mode": "approx", "tolerance": 0.5}'
+    curl -s -X POST localhost:8000/predict \
+        -d '{"items": [1, 2, 3], "budget": 50}'
 
 Load harness: :mod:`repro.serve.loadgen` /
 ``python -m repro.serve.loadgen --port 8000`` (fig13 journals it).

@@ -65,11 +65,6 @@ def main(argv: list[str] | None = None) -> int:
         help="cube significance threshold K",
     )
     parser.add_argument(
-        "--aqp",
-        action="store_true",
-        help="enable the learned approximate tier (mode=approx, /aqp)",
-    )
-    parser.add_argument(
         "--lockcheck",
         action="store_true",
         help="enable the runtime lock checker: track acquisition order "
@@ -115,7 +110,6 @@ def main(argv: list[str] | None = None) -> int:
         parallel=parallel,
         dataset_name=args.dataset,
         min_subset_size=args.min_subset_size,
-        aqp_dir=(root / "aqp") if args.aqp else None,
     )
     server = make_server(state, args.host, args.port)
     host, port = server.server_address[0], server.server_address[1]

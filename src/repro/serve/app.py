@@ -5,11 +5,8 @@ Endpoints (all JSON; see DESIGN.md §9):
 * ``GET /model`` — datasets, lattice geometry, store version.
 * ``GET /regions`` — region addressing for browse/drill-down.
 * ``GET /cube[?level=i,j]`` — lattice levels / one level's cells.
-* ``POST /bellwether`` — ``{"budget": B, "items": [ids...]}`` plus the
-  approximate tier's ``"mode": "approx"`` / ``"tolerance": t`` knobs.
-* ``POST /predict`` — ``{"items": [...], "region": key, "budget": B}``
-  (same ``mode``/``tolerance`` knobs).
-* ``GET /aqp`` / ``POST /aqp/train`` — approximate-tier status / retrain.
+* ``POST /bellwether`` — ``{"budget": B, "items": [ids...]}``.
+* ``POST /predict`` — ``{"items": [...], "region": key, "budget": B}``.
 * ``GET /healthz`` / ``GET /metricsz`` — liveness / registry snapshot.
 
 One thread per request (``ThreadingHTTPServer``); every handler funnels
@@ -18,6 +15,12 @@ through :meth:`_Handler._dispatch`, which maps any
 payload of :mod:`repro.serve.errors` and keeps the thread alive on any
 other failure.  Latency/request counters are recorded through
 :func:`repro.serve.state.record_request` under the instrument lock.
+
+A request body is read only when its ``Content-Length`` is a plain
+non-negative integer of at most :data:`MAX_BODY_BYTES`; otherwise the
+reply is 400 (malformed length) or 413 (too long) and the connection
+closes, so a hostile length can neither error out as 500 nor park the
+handler thread on a read that never completes.
 """
 
 from __future__ import annotations
@@ -30,13 +33,22 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.exceptions import ReproError
 
-from .errors import BadRequestError, MethodNotAllowedError, NotFoundError, error_payload
+from .errors import (
+    BadRequestError,
+    MethodNotAllowedError,
+    NotFoundError,
+    PayloadTooLargeError,
+    error_payload,
+)
 from .state import ServerState, record_request
 
 __all__ = ["BellwetherHTTPServer", "ServerHandle", "make_server", "serve_in_thread"]
 
-_GET_ROUTES = ("/model", "/regions", "/cube", "/aqp", "/healthz", "/metricsz")
-_POST_ROUTES = ("/bellwether", "/predict", "/aqp/train")
+_GET_ROUTES = ("/model", "/regions", "/cube", "/healthz", "/metricsz")
+_POST_ROUTES = ("/bellwether", "/predict")
+
+#: Longest request body read; a longer Content-Length answers 413 unread.
+MAX_BODY_BYTES = 1 << 20
 
 
 class BellwetherHTTPServer(ThreadingHTTPServer):
@@ -98,33 +110,21 @@ class _Handler(BaseHTTPRequestHandler):
                 return state.regions_info()
             if path == "/cube":
                 return state.cube_info(self._level_param(params))
-            if path == "/aqp":
-                return state.aqp_status()
             if path == "/healthz":
                 return state.healthz()
             return state.metricsz()
         if path in _POST_ROUTES:
             if method != "POST":
                 raise MethodNotAllowedError(f"{path} answers POST only")
-            if path == "/aqp/train":
-                # The journal is the input; any body is drained (keep-alive
-                # connections must not leave unread bytes) and ignored.
-                self._drain_body()
-                return state.aqp_train()
             body = self._read_json()
             if path == "/bellwether":
                 return state.bellwether(
-                    budget=body.get("budget"),
-                    items=body.get("items"),
-                    mode=body.get("mode"),
-                    tolerance=body.get("tolerance"),
+                    budget=body.get("budget"), items=body.get("items")
                 )
             return state.predict(
                 items=body.get("items"),
                 region=body.get("region"),
                 budget=body.get("budget"),
-                mode=body.get("mode"),
-                tolerance=body.get("tolerance"),
             )
         raise NotFoundError(f"no endpoint {path!r}")
 
@@ -146,17 +146,43 @@ class _Handler(BaseHTTPRequestHandler):
                 f"level must be comma-separated integers: {values[0]!r}"
             ) from exc
 
+    def _content_length(self) -> int:
+        """The declared body length, refused before any byte is read.
+
+        A length that is not a plain decimal integer, or one over
+        :data:`MAX_BODY_BYTES`, leaves the body's extent unknown or not
+        worth reading, so the connection closes after the error reply.
+        """
+        raw = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            self.close_connection = True
+            raise BadRequestError(
+                f"Content-Length must be a non-negative integer, got {raw!r}"
+            )
+        length = int(raw)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise PayloadTooLargeError(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            )
+        return length
+
     def _drain_body(self) -> None:
         if self._body_consumed:
             return
         self._body_consumed = True
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = self._content_length()
+        except (BadRequestError, PayloadTooLargeError):
+            # The connection closes after the reply; nothing to drain.
+            return
         if length:
             self.rfile.read(length)
 
     def _read_json(self) -> dict:
         self._body_consumed = True
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self._content_length()
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise BadRequestError("request body must be a JSON object")

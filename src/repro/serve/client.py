@@ -96,32 +96,18 @@ class ServeClient:
     def metricsz(self) -> dict:
         return self._request("GET", "/metricsz")
 
-    def bellwether(self, budget=None, items=None, mode=None, tolerance=None) -> dict:
+    def bellwether(self, budget=None, items=None) -> dict:
         body: dict = {}
         if budget is not None:
             body["budget"] = budget
         if items is not None:
             body["items"] = list(items)
-        if mode is not None:
-            body["mode"] = mode
-        if tolerance is not None:
-            body["tolerance"] = tolerance
         return self._request("POST", "/bellwether", body)
 
-    def predict(self, items, region=None, budget=None, mode=None, tolerance=None) -> dict:
+    def predict(self, items, region=None, budget=None) -> dict:
         body: dict = {"items": list(items)}
         if region is not None:
             body["region"] = region
         if budget is not None:
             body["budget"] = budget
-        if mode is not None:
-            body["mode"] = mode
-        if tolerance is not None:
-            body["tolerance"] = tolerance
         return self._request("POST", "/predict", body)
-
-    def aqp(self) -> dict:
-        return self._request("GET", "/aqp")
-
-    def aqp_train(self) -> dict:
-        return self._request("POST", "/aqp/train", {})

@@ -25,6 +25,7 @@ __all__ = [
     "InfeasibleQueryError",
     "MethodNotAllowedError",
     "NotFoundError",
+    "PayloadTooLargeError",
     "ServeError",
     "ServiceUnavailableError",
     "error_payload",
@@ -54,6 +55,12 @@ class MethodNotAllowedError(ServeError):
     """The endpoint exists but not under this HTTP method."""
 
     status = 405
+
+
+class PayloadTooLargeError(ServeError):
+    """The request body is longer than the service accepts."""
+
+    status = 413
 
 
 class InfeasibleQueryError(ServeError):

@@ -34,7 +34,6 @@ from repro.analysis.runtime import (
     assert_holds_read,
     assert_holds_write,
 )
-from repro.aqp import ApproxMiss, AqpConfig, AqpEngine
 from repro.core import BasicBellwetherSearch, BellwetherCubeBuilder
 from repro.exceptions import ConfigError
 from repro.exec import ParallelConfig
@@ -44,8 +43,6 @@ from repro.obs.catalog import (
     SERVE_CACHE_HITS,
     SERVE_CACHE_MISSES,
     SERVE_ERRORS,
-    SERVE_LATENCY_AQP,
-    SERVE_LATENCY_AQP_TRAIN,
     SERVE_LATENCY_BELLWETHER,
     SERVE_LATENCY_CUBE,
     SERVE_LATENCY_MODEL,
@@ -57,8 +54,6 @@ from repro.obs.catalog import (
     STORE_FULL_SCANS,
 )
 from repro.obs.metrics import get_registry
-from repro.core.exceptions import SearchError
-from repro.incremental import versions_behind
 from repro.storage import StorageError, TrainingDataStore
 from repro.storage.columnar import region_from_json, region_to_json
 
@@ -77,10 +72,8 @@ ENDPOINTS = (
     "GET /model",
     "GET /regions",
     "GET /cube",
-    "GET /aqp",
     "POST /bellwether",
     "POST /predict",
-    "POST /aqp/train",
     "GET /healthz",
     "GET /metricsz",
 )
@@ -104,8 +97,6 @@ _LATENCY = {
     "cube": _REGISTRY.histogram(SERVE_LATENCY_CUBE),
     "bellwether": _REGISTRY.histogram(SERVE_LATENCY_BELLWETHER),
     "predict": _REGISTRY.histogram(SERVE_LATENCY_PREDICT),
-    "aqp": _REGISTRY.histogram(SERVE_LATENCY_AQP),
-    "aqp/train": _REGISTRY.histogram(SERVE_LATENCY_AQP_TRAIN),
 }
 
 
@@ -158,12 +149,6 @@ class ServerState:
         Advertised by /model and /healthz.
     min_subset_size, min_examples:
         Builder/search thresholds, as in the batch paths.
-    aqp_dir:
-        Directory for the approximate tier's workload journal.  Enables
-        ``mode=approx`` on /bellwether and /predict plus the /aqp
-        endpoints; omitted = exact-only serving, exactly as before.
-    aqp_config:
-        Optional :class:`~repro.aqp.AqpConfig` tuning the learned surface.
     health_timeout:
         Seconds ``/healthz`` waits for the read lock before answering 503
         (a wedged writer must degrade the health check, not hang it).
@@ -182,8 +167,6 @@ class ServerState:
         dataset_name: str = "dataset",
         min_subset_size: int = 3,
         min_examples: int | None = None,
-        aqp_dir: str | Path | None = None,
-        aqp_config: AqpConfig | None = None,
         health_timeout: float | None = 1.0,
     ):
         est = task.error_estimator
@@ -238,21 +221,6 @@ class ServerState:
         self._known_items = {int(i) for i in task.item_ids}
         self._t0 = time.monotonic()
         self._health_timeout = health_timeout
-        # The approximate tier: journal + learned surface.  Counter updates
-        # share the serve instrument lock (the registry is single-threaded
-        # by design); the model reference itself is guarded by the RW lock
-        # like every other piece of serving state.
-        self.aqp = (
-            AqpEngine(
-                aqp_dir,
-                task=task,
-                hierarchies=hierarchies,
-                config=aqp_config,
-                instrument_lock=_INSTRUMENT_LOCK,
-            )
-            if aqp_dir is not None
-            else None
-        )
         # Pre-warm: first table build + profile, before any thread exists.
         # The write lock is uncontended here; taking it anyway keeps the
         # runtime checker's "write lock held" contract uniform.
@@ -293,19 +261,11 @@ class ServerState:
             _record_adoption()
 
     def apply_delta(self, delta) -> dict:
-        """Apply a store delta and adopt it immediately (exclusive).
-
-        The approximate tier's model is deliberately left stale: the next
-        ``mode=approx`` query sees the version gap, answers exactly, and
-        (with ``auto_retrain``) triggers the retrain behind the write lock
-        — the fallback-then-retrain sequence the blitz pins down.
-        """
+        """Apply a store delta and adopt it immediately (exclusive)."""
         with self._rw.write():
             self.store.apply_delta(delta)
             self._refresh_locked()
             version = int(self.store.version)
-        if self.aqp is not None:
-            self.aqp.journal.log_delta(store_version=version)
         return {"store_version": version}
 
     # ---------------------------------------------------------- validation
@@ -338,28 +298,6 @@ class ServerState:
         if isinstance(budget, bool) or not isinstance(budget, (int, float)):
             raise BadRequestError(f"budget must be a number, got {budget!r}")
         return float(budget)
-
-    @staticmethod
-    def _check_mode(mode, tolerance):
-        if mode is not None and mode not in ("exact", "approx"):
-            raise BadRequestError(
-                f"mode must be 'exact' or 'approx', got {mode!r}"
-            )
-        if tolerance is not None:
-            if mode != "approx":
-                raise BadRequestError(
-                    "tolerance is only meaningful with mode='approx'"
-                )
-            if (
-                isinstance(tolerance, bool)
-                or not isinstance(tolerance, (int, float))
-                or not tolerance > 0
-            ):
-                raise BadRequestError(
-                    f"tolerance must be a positive number, got {tolerance!r}"
-                )
-            tolerance = float(tolerance)
-        return mode, tolerance
 
     # ------------------------------------------------------------- payloads
 
@@ -402,7 +340,6 @@ class ServerState:
                 "n_examples_total": int(self.store.n_examples_total),
                 "feature_names": list(self.store.feature_names),
                 "lattice": lattice,
-                "aqp_enabled": self.aqp is not None,
                 "endpoints": list(ENDPOINTS),
             }
 
@@ -536,53 +473,16 @@ class ServerState:
 
     # ------------------------------------------------------------ /bellwether
 
-    def bellwether(self, budget=None, items=None, mode=None, tolerance=None) -> dict:
+    def bellwether(self, budget=None, items=None) -> dict:
         """Best region for item subset ``items`` under ``budget``.
 
-        Exact path — warm (profile current for this subset): read lock,
-        zero scans.  Cold: write lock, version adoption, then at most one
-        scan for a never-seen restricted subset (the all-items profile
-        never rescans once tables exist).
-
-        ``mode="approx"`` (needs ``aqp_dir``): answer from the learned
-        surface under the read lock — no store access at all — with a
-        declared ``tolerance`` bounding the rmse deviation.  Any miss
-        (untrained key, version drift, out-of-tolerance self-estimate)
-        answers exactly instead, annotated with ``fallback_reason``, and
-        may trigger an adaptive retrain behind the write lock.
+        Warm (profile current for this subset): read lock, zero scans.
+        Cold: write lock, version adoption, then at most one scan for a
+        never-seen restricted subset (the all-items profile never rescans
+        once tables exist).
         """
-        mode, tolerance = self._check_mode(mode, tolerance)
         budget = self._check_budget(budget)
         ids = self._canonical_items(items)
-        fallback_reason = None
-        if mode == "approx":
-            engine = self._require_aqp_mode()
-            with self._rw.read():
-                try:
-                    model, answer = engine.try_answer_bellwether(
-                        int(self.store.version), budget, ids, tolerance
-                    )
-                    if not answer.found:
-                        raise InfeasibleQueryError(
-                            f"no feasible region for budget={budget!r} over "
-                            f"{'all items' if ids is None else f'{len(ids)} items'}"
-                        )
-                    _record_cache(hit=True)
-                    _record_zero_scan()
-                    return self._approx_bellwether_payload(
-                        model, answer, budget, ids, tolerance
-                    )
-                except ApproxMiss as miss:
-                    fallback_reason = miss.reason
-            engine.note_fallback()
-        payload = self._bellwether_exact(budget, ids)
-        if fallback_reason is not None:
-            payload["requested_mode"] = "approx"
-            payload["fallback_reason"] = fallback_reason
-            self._maybe_retrain(fallback_reason)
-        return payload
-
-    def _bellwether_exact(self, budget, ids) -> dict:
         key = frozenset(ids) if ids is not None else None
         # Unlocked `.value` reads below are a CPython-atomic int load; a
         # racing scan from another request at worst skips one zero-scan
@@ -606,13 +506,6 @@ class ServerState:
                 payload = self._bellwether_locked(budget, ids)
                 if _FULL_SCANS.value == scans_before:  # lint: ignore[RPR007]
                     _record_zero_scan()
-        if self.aqp is not None:
-            self.aqp.journal.log_bellwether(
-                store_version=payload["store_version"],
-                budget=budget,
-                items=ids,
-                winner=payload["bellwether"]["region_str"],
-            )
         return payload
 
     def _bellwether_locked(self, budget, ids) -> dict:
@@ -625,7 +518,6 @@ class ServerState:
             )
         return {
             "store_version": int(self.store.version),
-            "mode": "exact",
             "budget": budget,
             "items": ids,
             "found": True,
@@ -636,41 +528,9 @@ class ServerState:
             ],
         }
 
-    def _approx_bellwether_payload(
-        self, model, answer, budget, ids, tolerance
-    ) -> dict:
-        region = model.regions[answer.region_index]
-        declared = tolerance if tolerance is not None else answer.estimated_error
-        return {
-            "store_version": model.store_version,
-            "model_version": model.model_version,
-            "mode": "approx",
-            "tolerance": float(declared),
-            "estimated_error": float(answer.estimated_error),
-            "budget": budget,
-            "items": ids,
-            "found": True,
-            "bellwether": {
-                "region": region_to_json(region),
-                "region_str": str(region),
-                "cost": answer.cost,
-                "coverage": answer.coverage,
-                "n_examples": answer.n_examples,
-                "rmse": answer.rmse,
-                "error_kind": "approx",
-            },
-            "n_feasible": len(answer.feasible),
-            "feasible": [
-                {"region_str": str(model.regions[j]), "rmse": rmse}
-                for j, rmse in answer.feasible
-            ],
-        }
-
     # --------------------------------------------------------------- /predict
 
-    def predict(
-        self, items, region=None, budget=None, mode=None, tolerance=None
-    ) -> dict:
+    def predict(self, items, region=None, budget=None) -> dict:
         """Predicted per-item values and aggregate for ``items`` from a region.
 
         ``region`` (a /regions ``key``) defaults to the bellwether for
@@ -678,46 +538,11 @@ class ServerState:
         region's rows restricted to ``items`` (exactly
         :meth:`BasicBellwetherSearch.fit_model`); items without rows in the
         region fall back to the training-set mean.
-
-        ``mode="approx"`` answers from the trained artifact store: the
-        exact payload replayed at train time for this (items, budget,
-        region) — bit-for-bit the exact answer at the model's store
-        version, zero store access.  Off-artifact queries fall back.
         """
-        mode, tolerance = self._check_mode(mode, tolerance)
         budget = self._check_budget(budget)
         ids = self._canonical_items(items)
         if ids is None:
             raise BadRequestError("predict requires items")
-        fallback_reason = None
-        if mode == "approx":
-            engine = self._require_aqp_mode()
-            with self._rw.read():
-                try:
-                    model, artifact = engine.try_answer_predict(
-                        int(self.store.version), ids, budget, region
-                    )
-                    _record_cache(hit=True)
-                    _record_zero_scan()
-                    payload = dict(artifact)
-                    payload["mode"] = "approx"
-                    payload["model_version"] = model.model_version
-                    payload["tolerance"] = (
-                        0.0 if tolerance is None else float(tolerance)
-                    )
-                    payload["estimated_error"] = 0.0
-                    return payload
-                except ApproxMiss as miss:
-                    fallback_reason = miss.reason
-            engine.note_fallback()
-        payload = self._predict_exact(ids, region, budget)
-        if fallback_reason is not None:
-            payload["requested_mode"] = "approx"
-            payload["fallback_reason"] = fallback_reason
-            self._maybe_retrain(fallback_reason)
-        return payload
-
-    def _predict_exact(self, ids, region, budget) -> dict:
         region_obj = None if region is None else self._decode_region(region)
         key = frozenset(ids)
         payload = None
@@ -741,13 +566,6 @@ class ServerState:
                 payload = self._predict_locked(
                     ids, region_obj, budget, allow_build=True
                 )
-        if self.aqp is not None:
-            self.aqp.journal.log_predict(
-                store_version=payload["store_version"],
-                budget=budget,
-                items=ids,
-                region=region,
-            )
         return payload
 
     def _predict_locked(self, ids, region, budget, allow_build: bool) -> dict | None:
@@ -792,7 +610,6 @@ class ServerState:
             )
         return {
             "store_version": int(self.store.version),
-            "mode": "exact",
             "budget": budget,
             "items": ids,
             "region": region_to_json(region),
@@ -801,96 +618,3 @@ class ServerState:
             "predictions": predictions,
             "aggregate": float(total),
         }
-
-    # ------------------------------------------------------------------ /aqp
-
-    def _require_aqp_mode(self):
-        if self.aqp is None:
-            raise BadRequestError(
-                "mode='approx' needs an approximate tier; serve with aqp_dir"
-            )
-        return self.aqp
-
-    def aqp_status(self) -> dict:
-        """GET /aqp: engine/model/journal status (never 404s)."""
-        with self._rw.read():
-            version = int(self.store.version)
-            if self.aqp is None:
-                return {"store_version": version, "enabled": False}
-            status = self.aqp.status()
-            status["store_version"] = version
-            model = self.aqp.model
-            status["versions_behind"] = (
-                None
-                if model is None
-                else versions_behind(self.store, model.store_version)
-            )
-            return status
-
-    def aqp_train(self) -> dict:
-        """POST /aqp/train: (re)train the surface from the journal."""
-        if self.aqp is None:
-            raise NotFoundError(
-                "this deployment has no approximate tier; serve with aqp_dir"
-            )
-        with self._rw.write():
-            self._refresh_locked()
-            model = self._train_locked(drift=False)
-            return {
-                "store_version": int(self.store.version),
-                "model_version": model.model_version,
-                "n_records": model.n_records,
-                "n_trained_keys": len(model.bounds),
-                "n_artifacts": len(model.artifacts),
-            }
-
-    def _train_locked(self, drift: bool):
-        """Retrain the surface at the current version.  (write lock held)"""
-        assert_holds_write(SERVE_STATE_RW)
-        return self.aqp.train(
-            self.search,
-            costs=self.search.costs,
-            predict_fn=self._replay_predict_locked,
-            drift=drift,
-        )
-
-    def _replay_predict_locked(self, ids, region_key, budget):
-        """Replay one journaled predict query exactly.  (write lock held)
-
-        Returns None when the query no longer answers at this version
-        (region dropped, budget now infeasible) — the artifact is skipped.
-        """
-        region_obj = (
-            None if region_key is None else self._decode_region(region_key)
-        )
-        try:
-            if region_obj is None and not self.search.has_profile(
-                frozenset(ids)
-            ):
-                self.search.evaluate_all(item_ids=ids, parallel=self._parallel)
-            return self._predict_locked(ids, region_obj, budget, allow_build=True)
-        except (InfeasibleQueryError, NotFoundError, SearchError):
-            return None
-
-    def _maybe_retrain(self, reason: str) -> None:
-        """Adaptive retrain after an approx fallback (no locks held).
-
-        Version drift always retrains (the store moved; the journal is the
-        up-to-date workload); otherwise only a drifting workload — a
-        windowed miss-rate above threshold — does.  A degraded engine
-        (unreadable journal) stays exact-only until an explicit
-        /aqp/train succeeds.
-        """
-        engine = self.aqp
-        if engine is None or not engine.config.auto_retrain or engine.degraded:
-            return
-        drift = engine.drift_detected
-        if reason != "version_drift" and not drift:
-            return
-        with self._rw.write():
-            self._refresh_locked()
-            try:
-                self._train_locked(drift=drift and reason != "version_drift")
-            except StorageError:
-                # Degraded mode is set; serving continues exact-only.
-                return

@@ -20,11 +20,6 @@ every class also checks its operation counters against the paper's bounds:
 * ``serve-endpoints`` — every live HTTP ``/bellwether`` and ``/predict``
   response equals the in-process search answer at the same store version,
   before and after a delta stream lands mid-flight.
-* ``aqp-tolerance`` — every ``mode=approx`` answer from the learned tier
-  is within its declared tolerance of the exact cube-table answer (same
-  feasible set, ε-optimal winner, bit-equal predict artifacts), fallback
-  paths are exact, and a mid-flight delta forces fallback-then-retrain
-  with consistent version stamps.
 * ``store-delta`` — an append-only delta stream reproduces a from-scratch
   generation bit for bit.
 """
@@ -587,306 +582,6 @@ def _serve_endpoints(w: Workload) -> list[Mismatch]:
                 # next queries must adopt the new version, never mix two.
                 w.apply_stream(gen, regions, store)
                 out += _serve_round(w, ds, store, client, subset, label="stream")
-    return out
-
-
-# ------------------------------------------------------------ aqp tolerance
-
-
-def _direct_reference(w: Workload, ds, store) -> BasicBellwetherSearch:
-    """The exact in-process reference at the store's current version.
-
-    Same construction as :func:`_serve_round`: the all-items profile comes
-    from scratch-built exact-mode cube tables (bit-for-bit what the server
-    rolls from its own tables), subsets from the raw path.
-    """
-    direct = BasicBellwetherSearch(ds.task, store, min_examples=w.min_examples)
-    scratch_builder = BellwetherCubeBuilder(
-        ds.task,
-        store,
-        ds.hierarchies,
-        min_subset_size=w.min_subset_size,
-        min_examples=w.min_examples,
-    )
-    maintainer = scratch_builder.incremental(mode="exact")
-    maintainer.refresh()
-    direct.evaluate_from_tables(maintainer.level_tables())
-    return direct
-
-
-def _aqp_approx_round(
-    w: Workload, ds, store, client, subset, exact_predicts, label
-) -> list[Mismatch]:
-    """Replay the journaled workload with ``mode=approx`` and verify it.
-
-    For every (budget, items) pair: the response must actually be approx
-    at the current store version, its feasible set must equal the exact
-    path's, the winner's predicted rmse must be within the declared
-    tolerance of that region's exact rmse, the winner must be ε-optimal
-    (its exact rmse at most 2·tolerance above the exact winner's), and
-    artifact ``/predict`` answers must be bit-equal to the exact phase-1
-    responses.
-    """
-    from repro.serve import ServeHTTPError
-
-    version = int(store.version)
-    direct = _direct_reference(w, ds, store)
-    out: list[Mismatch] = []
-    for budget in w.budgets:
-        for items in (None, subset):
-            tag = (
-                f"{label}.budget[{budget:g}]"
-                + ("" if items is None else f".subset{len(items)}")
-            )
-            expected = direct.run(budget=budget, item_ids=items)
-            try:
-                got = client.bellwether(
-                    budget=budget, items=items, mode="approx"
-                )
-            except ServeHTTPError as exc:
-                # Infeasibility is exact knowledge in the approx tier too.
-                if expected.bellwether is not None:
-                    out += _expect(
-                        f"{tag}.outcome",
-                        str(expected.bellwether.region),
-                        f"HTTP {exc.status}",
-                    )
-                elif exc.status != 409:
-                    out += _expect(f"{tag}.status", 409, exc.status)
-                continue
-            if expected.bellwether is None:
-                out += _expect(
-                    f"{tag}.outcome",
-                    "HTTP 409",
-                    got["bellwether"]["region_str"],
-                )
-                continue
-            out += _expect(f"{tag}.mode", "approx", got.get("mode"))
-            out += _expect(
-                f"{tag}.store_version", version, got["store_version"]
-            )
-            if got.get("model_version") is None:
-                out += _expect(f"{tag}.model_version", "an int", None)
-            tolerance = float(got["tolerance"])
-            by_region = {
-                str(r.region): float(r.rmse)
-                for r in direct.evaluate_all(item_ids=items)
-            }
-            # Exact feasible set, in exact order.
-            out += _expect(
-                f"{tag}.feasible",
-                [str(r.region) for r in expected.feasible],
-                [e["region_str"] for e in got["feasible"]],
-            )
-            win = got["bellwether"]
-            exact_at_winner = by_region.get(win["region_str"])
-            if exact_at_winner is None:
-                out += _expect(
-                    f"{tag}.winner", "an evaluated region", win["region_str"]
-                )
-                continue
-            deviation = abs(float(win["rmse"]) - exact_at_winner)
-            if deviation > tolerance:
-                out += _expect(
-                    f"{tag}.tolerance",
-                    f"|approx-exact| <= {tolerance:g}",
-                    f"{deviation:g}",
-                )
-            # ε-optimality: the approx winner's *exact* error is at most
-            # 2·tolerance above the exact winner's.
-            slack = exact_at_winner - float(expected.bellwether.rmse)
-            if slack > 2.0 * tolerance:
-                out += _expect(
-                    f"{tag}.winner_slack",
-                    f"<= {2.0 * tolerance:g}",
-                    f"{slack:g}",
-                )
-            if items is None:
-                continue
-            exact_pred = exact_predicts.get(budget)
-            if exact_pred is None:
-                continue
-            try:
-                pred = client.predict(
-                    items=items, budget=budget, mode="approx"
-                )
-            except ServeHTTPError as exc:
-                out += _expect(f"{tag}.predict.outcome", "200", exc.status)
-                continue
-            out += _expect(f"{tag}.predict.mode", "approx", pred.get("mode"))
-            # The artifact is the phase-1 exact payload, bit for bit.
-            for field in (
-                "store_version",
-                "region_str",
-                "coef",
-                "predictions",
-                "aggregate",
-            ):
-                if pred[field] != exact_pred[field]:
-                    out += _expect(
-                        f"{tag}.predict.{field}",
-                        exact_pred[field],
-                        pred[field],
-                    )
-    return out
-
-
-@_oracle_class(
-    "aqp-tolerance",
-    "mode=approx answers within declared tolerance of the exact path "
-    "(same feasible sets, ε-optimal winners, bit-equal predict artifacts), "
-    "exact fallbacks, and fallback-then-retrain across a mid-flight delta",
-)
-def _aqp_tolerance(w: Workload) -> list[Mismatch]:
-    import tempfile
-    from pathlib import Path
-
-    from repro.serve import ServeClient, ServeHTTPError, ServerState, serve_in_thread
-
-    ds, gen, regions, store = w.deployed()
-    rng = np.random.default_rng([w.seed, 1811])
-    ids = sorted(int(i) for i in ds.task.item_ids)
-    size = min(len(ids), max(3, len(ids) // 2))
-    subset = sorted(
-        int(ids[i]) for i in rng.choice(len(ids), size=size, replace=False)
-    )
-    novel_pool = [i for i in ids if i not in subset] or ids
-    novel = sorted(novel_pool[: max(3, len(novel_pool) // 2)])
-    out: list[Mismatch] = []
-    with tempfile.TemporaryDirectory(prefix="repro-aqp-oracle-") as tmp:
-        state = ServerState(
-            ds.task,
-            store,
-            ds.hierarchies,
-            tables_dir=Path(tmp) / "tables",
-            min_subset_size=w.min_subset_size,
-            min_examples=w.min_examples,
-            aqp_dir=Path(tmp) / "aqp",
-        )
-        with serve_in_thread(state) as handle:
-            with ServeClient(handle.host, handle.port) as client:
-                # Phase 1 — exact workload, journaled by the server.
-                exact_predicts: dict[float, dict] = {}
-                for budget in w.budgets:
-                    for items in (None, subset):
-                        try:
-                            client.bellwether(budget=budget, items=items)
-                        except ServeHTTPError as exc:
-                            if exc.status != 409:
-                                raise
-                    try:
-                        exact_predicts[budget] = client.predict(
-                            items=subset, budget=budget
-                        )
-                    except ServeHTTPError as exc:
-                        if exc.status != 409:
-                            raise
-                # Train the surface on the journal.
-                client.aqp_train()
-                # Phase 2 — approx replay, verified against the reference.
-                out += _aqp_approx_round(
-                    w, ds, store, client, subset, exact_predicts, "approx"
-                )
-                # Phase 3 — a never-journaled subset must fall back, and the
-                # fallback must be the exact answer.
-                direct = _direct_reference(w, ds, store)
-                expected = direct.run(budget=None, item_ids=novel)
-                try:
-                    got = client.bellwether(items=novel, mode="approx")
-                except ServeHTTPError as exc:
-                    if expected.bellwether is not None:
-                        out += _expect(
-                            "novel.outcome",
-                            str(expected.bellwether.region),
-                            f"HTTP {exc.status}",
-                        )
-                else:
-                    if expected.bellwether is None:
-                        out += _expect(
-                            "novel.outcome",
-                            "HTTP 409",
-                            got["bellwether"]["region_str"],
-                        )
-                    else:
-                        out += _expect("novel.mode", "exact", got.get("mode"))
-                        out += _expect(
-                            "novel.requested_mode",
-                            "approx",
-                            got.get("requested_mode"),
-                        )
-                        out += _expect(
-                            "novel.region",
-                            str(expected.bellwether.region),
-                            got["bellwether"]["region_str"],
-                        )
-                        if expected.bellwether is not None and float(
-                            expected.bellwether.rmse
-                        ) != float(got["bellwether"]["rmse"]):
-                            out += _expect(
-                                "novel.rmse",
-                                expected.bellwether.rmse,
-                                got["bellwether"]["rmse"],
-                            )
-                # Phase 4 — the stream moves the store: the first approx
-                # query falls back on version drift with the *new* exact
-                # answer, the auto-retrain brings the tier back, and the
-                # next approx query answers approx at the new version.
-                w.apply_stream(gen, regions, store)
-                new_version = int(store.version)
-                drifted = _direct_reference(w, ds, store)
-                budget = w.budgets[0]
-                expected = drifted.run(budget=budget)
-                try:
-                    got = client.bellwether(budget=budget, mode="approx")
-                except ServeHTTPError as exc:
-                    if expected.bellwether is not None:
-                        out += _expect(
-                            "drift.outcome",
-                            str(expected.bellwether.region),
-                            f"HTTP {exc.status}",
-                        )
-                    expected = None
-                else:
-                    if expected.bellwether is None:
-                        out += _expect(
-                            "drift.outcome",
-                            "HTTP 409",
-                            got["bellwether"]["region_str"],
-                        )
-                        expected = None
-                    else:
-                        out += _expect("drift.mode", "exact", got.get("mode"))
-                        out += _expect(
-                            "drift.reason",
-                            "version_drift",
-                            got.get("fallback_reason"),
-                        )
-                        out += _expect(
-                            "drift.store_version",
-                            new_version,
-                            got["store_version"],
-                        )
-                        out += _expect(
-                            "drift.region",
-                            str(expected.bellwether.region),
-                            got["bellwether"]["region_str"],
-                        )
-                if expected is not None and expected.bellwether is not None:
-                    # Retrained: the same query now answers approx at the
-                    # new version with a fresh model stamp.
-                    retried = client.bellwether(budget=budget, mode="approx")
-                    out += _expect("retrain.mode", "approx", retried.get("mode"))
-                    out += _expect(
-                        "retrain.store_version",
-                        new_version,
-                        retried["store_version"],
-                    )
-                    if retried.get("model_version", 0) < 2:
-                        out += _expect(
-                            "retrain.model_version",
-                            ">= 2",
-                            retried.get("model_version"),
-                        )
     return out
 
 

@@ -66,6 +66,7 @@ def test_responses_never_mix_store_versions(dataset, tmp_path, lockcheck):
     seen_lock = threading.Lock()
 
     def churn(handle):
+        last = -1
         with ServeClient(handle.host, handle.port) as client:
             while not stop.is_set():
                 try:
@@ -73,6 +74,9 @@ def test_responses_never_mix_store_versions(dataset, tmp_path, lockcheck):
                 except ServeHTTPError as exc:
                     assert exc.status == 409
                     continue
+                # One client's version stamps never go backwards.
+                assert got["store_version"] >= last
+                last = got["store_version"]
                 with seen_lock:
                     seen.append(got)
 

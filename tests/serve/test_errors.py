@@ -2,10 +2,16 @@
 
 import http.client
 import json
+import socket
+import threading
+import time
 
 import pytest
 
 from repro.serve import ServeHTTPError
+from repro.serve.app import MAX_BODY_BYTES
+
+from .conftest import SUBSET
 
 
 def _raw(served, method, path, body=None):
@@ -95,10 +101,13 @@ def test_unintelligible_region_key_is_400(client):
 
 
 def test_infeasible_budget_is_409(client):
-    with pytest.raises(ServeHTTPError) as excinfo:
-        client.bellwether(budget=1e-9)
-    assert excinfo.value.status == 409
-    _assert_error(excinfo.value.payload, 409, "InfeasibleQueryError")
+    # All items (warm profile) and a restricted subset (cold evaluation
+    # under the write lock) must both refuse, not answer an empty winner.
+    for items in (None, SUBSET):
+        with pytest.raises(ServeHTTPError) as excinfo:
+            client.bellwether(budget=1e-9, items=items)
+        assert excinfo.value.status == 409, items
+        _assert_error(excinfo.value.payload, 409, "InfeasibleQueryError")
 
 
 def test_unknown_cube_level_is_404(client):
@@ -112,3 +121,43 @@ def test_bad_cube_level_param_is_400(served):
     status, payload = _raw(served, "GET", "/cube?level=x,y")
     assert status == 400
     _assert_error(payload, 400, "BadRequestError")
+
+
+@pytest.mark.parametrize(
+    "declared, status, error_type",
+    [
+        ("abc", 400, "BadRequestError"),
+        ("-1", 400, "BadRequestError"),
+        (str(MAX_BODY_BYTES + 1), 413, "PayloadTooLargeError"),
+    ],
+    ids=["non-integer", "negative", "over-cap"],
+)
+def test_bad_content_length_answers_and_closes(
+    served, lockcheck, declared, status, error_type
+):
+    """A Content-Length the server will not read is refused before the body.
+
+    No body bytes follow the headers: the reply must come without waiting
+    for any, the server must close the connection (the body's extent is
+    unknown), and the handler thread must exit rather than block on a read.
+    """
+    before = set(threading.enumerate())
+    request = (
+        "POST /bellwether HTTP/1.1\r\n"
+        f"Host: {served.host}\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {declared}\r\n\r\n"
+    ).encode()
+    with socket.create_connection((served.host, served.port), timeout=3) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, __, body = b"".join(chunks).partition(b"\r\n\r\n")
+    assert int(head.split()[1]) == status
+    _assert_error(json.loads(body), status, error_type)
+    deadline = time.monotonic() + 3
+    while any(t.is_alive() for t in set(threading.enumerate()) - before):
+        assert time.monotonic() < deadline, "handler thread still running"
+        time.sleep(0.01)
+    assert lockcheck.snapshot()["violations"] == []
