@@ -13,9 +13,8 @@ rule flags:
 
 * attribute access on the store's private internals, and
 * direct ``np.load`` / ``np.savez`` / ``np.savez_compressed`` /
-  ``np.memmap`` calls (``np.memmap`` is how the columnar backend maps its
-  raw column files; outside ``repro.storage`` a mapping bypasses
-  ``store.columnar.chunks_read`` and the byte counters).
+  ``np.memmap`` calls (outside ``repro.storage`` a mapping of block data
+  bypasses the read and byte counters).
 
 Legitimate non-store ``.npz`` persistence (the suffstats cache) carries an
 inline ``# lint: ignore[RPR001]`` with its justification.

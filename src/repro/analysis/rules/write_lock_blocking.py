@@ -8,7 +8,7 @@ after the fact.  This rule catches it at lint time: inside any
 ``with <lock>.write():`` scope (and one call-hop into same-module
 functions reached from one), calls that block are findings:
 
-* store traffic: ``.scan()`` / ``.scan_chunks()`` / ``._fetch()``,
+* store traffic: ``.scan()`` / ``._fetch()``,
 * numeric heavy-lifting: ``np.linalg.solve`` / ``lstsq``,
 * stalls: ``time.sleep``, and
 * HTTP handling: ``urlopen`` / ``serve_forever`` / ``handle_request``.
@@ -36,7 +36,6 @@ _SKIP_NODES = (*_FUNC_NODES, ast.Lambda, ast.ClassDef)
 #: Callee attribute/function names that block, by final name.
 _BLOCKING_NAMES = {
     "scan": "a full store scan",
-    "scan_chunks": "a chunked store scan",
     "_fetch": "a store block fetch",
     "sleep": "a sleep",
     "urlopen": "an HTTP request",

@@ -207,7 +207,9 @@ class BasicBellwetherSearch:
                 results.append(
                     RegionResult(
                         region=region,
-                        cost=self._costs[region],
+                        cost=self._costs.setdefault(
+                            region, self.task.cost(region)
+                        ),
                         coverage=block.n_examples / n_total,
                         n_items=block.n_examples,
                         error=error,
@@ -322,6 +324,9 @@ class BasicBellwetherSearch:
         touched regions is already scan-free.
         """
         if None not in self._profile:
+            # Restricted profiles carry no version of their own; any of them
+            # may predate a delta, so none survives a refresh.
+            self._profile.clear()
             if tables is not None:
                 return self.evaluate_from_tables(tables)
             return self.evaluate_all(parallel=parallel)

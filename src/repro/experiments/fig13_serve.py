@@ -40,7 +40,7 @@ from repro.storage import DiskStore
 
 __all__ = ["Fig13Result", "run_fig13"]
 
-_BACKENDS = ("memory", "npz", "columnar")
+_BACKENDS = ("memory", "npz")
 
 #: Counter deltas attached to every journal record (deterministic under
 #: the seeded plan, hence sentinel-gated as exact ops contracts).
@@ -120,9 +120,7 @@ def run_fig13(
             store = (
                 memory_store
                 if backend == "memory"
-                else DiskStore.from_memory(
-                    root / "store", memory_store, backend=backend
-                )
+                else DiskStore.from_memory(root / "store", memory_store)
             )
             state = ServerState(
                 ds.task,

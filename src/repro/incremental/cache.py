@@ -1,7 +1,7 @@
 """Persistent suffstats cache, keyed by store version.
 
 Lives next to a :class:`~repro.storage.DiskStore` (or any directory): one
-pickle of metadata (store version, region list, stack geometry) plus one
+JSON metadata file (store version, region list, stack geometry) plus one
 ``.npz`` holding every region's per-base-cell :class:`StackedSuffStats`
 concatenated.  A reopened maintainer warm-starts from it without a full
 scan — but only when the on-disk version matches the store's, and only when
@@ -20,8 +20,8 @@ patched forward twice) now raises :class:`~repro.storage.StorageError`.
 
 from __future__ import annotations
 
+import json
 import os
-import pickle
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ import numpy as np
 from repro.analysis.runtime import SUFFSTATS_CACHE_IO, TrackedLock
 from repro.dimensions import Region
 from repro.ml import StackedSuffStats
-from repro.storage import StorageError
+from repro.storage import StorageError, region_from_json, region_to_json
 from repro.storage.block_store import _atomic_write
 
 # StaleCacheError moved to repro.storage.cubetables (the materialized cube
@@ -42,7 +42,7 @@ __all__ = ["StaleCacheError", "SuffStatsCache"]
 class SuffStatsCache:
     """Saves/loads per-region base-cell suffstats stacks for one store."""
 
-    _META = "suffstats_meta.pkl"
+    _META = "suffstats_meta.json"
     _DATA = "suffstats_data.npz"
 
     def __init__(self, directory: str | Path):
@@ -89,17 +89,13 @@ class SuffStatsCache:
                     version=np.asarray([int(version)], dtype=np.int64),
                 )
             os.replace(tmp, self.data_path)
-            _atomic_write(
-                self.meta_path,
-                pickle.dumps(
-                    {
-                        "version": version,
-                        "regions": regions,
-                        "n_cells": n_cells,
-                        "p": p,
-                    }
-                ),
-            )
+            meta = {
+                "version": int(version),
+                "regions": [region_to_json(r) for r in regions],
+                "n_cells": int(n_cells),
+                "p": int(p),
+            }
+            _atomic_write(self.meta_path, json.dumps(meta).encode())
 
     def load(
         self,
@@ -144,10 +140,9 @@ class SuffStatsCache:
         if not self.meta_path.exists():
             raise StorageError(f"no suffstats cache at {self._dir}")
         try:
-            with self.meta_path.open("rb") as f:
-                meta = pickle.load(f)
+            meta = json.loads(self.meta_path.read_bytes())
             version = int(meta["version"])
-            regions = list(meta["regions"])
+            regions = [region_from_json(values) for values in meta["regions"]]
         except StorageError:
             raise
         except Exception as exc:

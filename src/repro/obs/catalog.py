@@ -27,14 +27,6 @@ STORE_REGION_READS = "store.region_reads"
 STORE_FULL_SCANS = "store.full_scans"
 STORE_BYTES_READ = "store.bytes_read"
 
-# ----------------------------------------------------------- columnar backend
-# Counted by repro.storage.columnar: bounded-memory chunk reads (each chunk's
-# bytes also land in store.bytes_read, keeping the Lemma accounting truthful)
-# and column-file write traffic.
-STORE_COLUMNAR_CHUNKS_READ = "store.columnar.chunks_read"
-STORE_COLUMNAR_BYTES_WRITTEN = "store.columnar.bytes_written"
-STORE_COLUMNAR_REGIONS_WRITTEN = "store.columnar.regions_written"
-
 # ------------------------------------------------------------ linear algebra
 ML_LINEAR_FITS = "ml.linear.fits"
 ML_LINEAR_BATCHED_SOLVES = "ml.linear.batched_solves"
@@ -119,9 +111,6 @@ COUNTERS: tuple[str, ...] = (
     STORE_REGION_READS,
     STORE_FULL_SCANS,
     STORE_BYTES_READ,
-    STORE_COLUMNAR_CHUNKS_READ,
-    STORE_COLUMNAR_BYTES_WRITTEN,
-    STORE_COLUMNAR_REGIONS_WRITTEN,
     ML_LINEAR_FITS,
     ML_LINEAR_BATCHED_SOLVES,
     ML_LINEAR_BATCHED_PROBLEMS,

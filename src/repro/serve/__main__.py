@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.serve --port 8000                     # in-memory store
     python -m repro.serve --port 8000 --backend npz       # on-disk store
-    python -m repro.serve --port 8000 --backend columnar --workers 4
+    python -m repro.serve --port 8000 --workers 4
 
 Generates the chosen retail dataset (always with the algebraic
 training-set estimator so the materialized-tables warm path applies),
@@ -38,7 +38,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--port", type=int, default=8000)
     parser.add_argument(
         "--backend",
-        choices=("memory", "npz", "columnar"),
+        choices=("memory", "npz"),
         default="npz",
         help="storage backend for the served training data",
     )
@@ -93,9 +93,7 @@ def main(argv: list[str] | None = None) -> int:
         tmp = tempfile.TemporaryDirectory(prefix="repro-serve-")
         root = Path(tmp.name)
     if args.backend != "memory":
-        store = DiskStore.from_memory(
-            root / "store", store, backend=args.backend
-        )
+        store = DiskStore.from_memory(root / "store", store)
     parallel = (
         ParallelConfig(workers=args.workers, backend="thread")
         if args.workers > 1

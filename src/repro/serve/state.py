@@ -54,8 +54,12 @@ from repro.obs.catalog import (
     STORE_FULL_SCANS,
 )
 from repro.obs.metrics import get_registry
-from repro.storage import StorageError, TrainingDataStore
-from repro.storage.columnar import region_from_json, region_to_json
+from repro.storage import (
+    StorageError,
+    TrainingDataStore,
+    region_from_json,
+    region_to_json,
+)
 
 from .errors import (
     BadRequestError,

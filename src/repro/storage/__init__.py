@@ -5,13 +5,12 @@ or retracted training rows (see :mod:`repro.storage.delta`) and bumps a
 monotone ``version`` that downstream caches — notably the incremental
 suffstats cache of :mod:`repro.incremental` — key on.
 
-Two on-disk backends implement the same interface: :class:`DiskStore` (one
-``.npz`` per region, pickle manifest) and
-:class:`~repro.storage.columnar.ColumnarStore` (per-region raw column files,
-JSON manifest, memmap-backed bounded-memory chunked scans).
-:func:`open_store` sniffs which backend wrote a directory.
-:mod:`repro.storage.cubetables` persists per-level suffstats cube tables on
-top of either backend.
+The on-disk store is :class:`DiskStore`: one ``.npz`` per region plus a
+JSON manifest (regions in scan order, row counts, version), opened with
+``DiskStore(directory)``.  :func:`region_to_json` / :func:`region_from_json`
+are the region codec every JSON file of this package uses.
+:mod:`repro.storage.cubetables` persists per-level suffstats cube tables
+next to it.
 """
 
 from .block_store import (
@@ -22,9 +21,9 @@ from .block_store import (
     RegionBlock,
     StorageError,
     TrainingDataStore,
-    open_store,
+    region_from_json,
+    region_to_json,
 )
-from .columnar import ColumnarStore, ColumnarWriter
 from .cubetables import CubeTableStore, LevelTable, StaleCacheError
 from .delta import AppliedDelta, BlockDelta, StoreDelta, apply_block_delta
 from .stats import IOStats
@@ -33,8 +32,6 @@ __all__ = [
     "AppliedDelta",
     "BlockDelta",
     "BlockWriter",
-    "ColumnarStore",
-    "ColumnarWriter",
     "CubeTableStore",
     "DiskStore",
     "FilteredStore",
@@ -47,5 +44,6 @@ __all__ = [
     "StoreDelta",
     "TrainingDataStore",
     "apply_block_delta",
-    "open_store",
+    "region_from_json",
+    "region_to_json",
 ]

@@ -26,8 +26,8 @@ rather than silently serving stale numbers.
 
 from __future__ import annotations
 
+import json
 import os
-import pickle
 import zipfile
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -36,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.dimensions import Region
+from repro.dimensions.interval import Interval
 from repro.exceptions import ReproError
 from repro.obs.trace import get_tracer
 
@@ -52,11 +53,32 @@ def _atomic_write(path: Path, payload: bytes) -> None:
     """Write ``payload`` to ``path`` atomically (temp file + ``os.replace``).
 
     A crash mid-write leaves either the old file or the new one, never a torn
-    hybrid — the property both backends rely on for their manifests.
+    hybrid — the property every manifest and metadata file relies on.
     """
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(payload)
     os.replace(tmp, path)
+
+
+def region_to_json(region: Region) -> list:
+    """A JSON-stable encoding of a region (strings plain, intervals tagged)."""
+    return [
+        v if isinstance(v, str) else {"interval": [v.start, v.end]}
+        for v in region.values
+    ]
+
+
+def region_from_json(values: list) -> Region:
+    decoded = []
+    for v in values:
+        if isinstance(v, str):
+            decoded.append(v)
+        elif isinstance(v, dict) and "interval" in v:
+            start, end = v["interval"]
+            decoded.append(Interval(int(start), int(end)))
+        else:
+            raise StorageError(f"unintelligible region value {v!r} in manifest")
+    return Region(tuple(decoded))
 
 
 @dataclass(frozen=True)
@@ -303,15 +325,44 @@ class FilteredStore(TrainingDataStore):
         return block
 
 
+_MANIFEST_FORMAT = "repro-npz-store"
+
+
+def _write_manifest(
+    directory: Path,
+    feature_names: Sequence[str],
+    version: int,
+    files: Mapping[Region, str],
+    rows: Mapping[Region, int],
+) -> None:
+    """Atomically write a :class:`DiskStore`'s JSON manifest.
+
+    Regions are listed in scan order: the order decides bellwether
+    tie-breaks, so a reopened store must scan exactly as the live one did.
+    A crash between two block rewrites of ``apply_delta`` leaves the old
+    manifest or the new one, never a torn one.
+    """
+    payload = {
+        "format": _MANIFEST_FORMAT,
+        "version": version,
+        "feature_names": list(feature_names),
+        "regions": [
+            {"key": region_to_json(region), "file": name, "rows": rows[region]}
+            for region, name in files.items()
+        ],
+    }
+    _atomic_write(directory / DiskStore._MANIFEST, json.dumps(payload).encode())
+
+
 class DiskStore(TrainingDataStore):
     """Region blocks spilled to ``.npz`` files under a directory.
 
-    A pickle manifest maps regions to file names.  Every ``read``/``scan``
-    genuinely hits the filesystem — nothing is cached — so I/O counts match
-    physical behaviour.
+    A JSON manifest maps regions to file names and row counts.  Every
+    ``read``/``scan`` genuinely hits the filesystem — nothing is cached — so
+    I/O counts match physical behaviour.
     """
 
-    _MANIFEST = "manifest.pkl"
+    _MANIFEST = "manifest.json"
 
     def __init__(self, directory: str | Path):
         self._dir = Path(directory)
@@ -319,15 +370,20 @@ class DiskStore(TrainingDataStore):
         if not manifest_path.exists():
             raise StorageError(f"{self._dir} has no manifest; use DiskStore.create")
         try:
-            with manifest_path.open("rb") as f:
-                manifest = pickle.load(f)
-            self._files: dict[Region, str] = manifest["files"]
+            manifest = json.loads(manifest_path.read_bytes())
+            if manifest["format"] != _MANIFEST_FORMAT:
+                raise StorageError(
+                    f"corrupt manifest {manifest_path}: "
+                    f"format {manifest['format']!r}"
+                )
             self.feature_names = tuple(manifest["feature_names"])
-            # Manifests written before versioning count as version 0.
-            self.version = int(manifest.get("version", 0))
-            # Manifests written before row counts fall back to fetching
-            # blocks in n_examples_total (None, not {}).
-            self._rows: dict[Region, int] | None = manifest.get("rows")
+            self.version = int(manifest["version"])
+            self._files: dict[Region, str] = {}
+            self._rows: dict[Region, int] = {}
+            for entry in manifest["regions"]:
+                region = region_from_json(entry["key"])
+                self._files[region] = str(entry["file"])
+                self._rows[region] = int(entry["rows"])
         except StorageError:
             raise
         except Exception as exc:
@@ -353,42 +409,14 @@ class DiskStore(TrainingDataStore):
             np.savez(f, **arrays)
         os.replace(tmp, path)
 
-    def _write_manifest(self) -> None:
-        # Atomic: a crash between two block rewrites of apply_delta can leave
-        # the old manifest or the new one, but never a torn pickle.
-        _atomic_write(
-            self._dir / self._MANIFEST,
-            pickle.dumps(
-                {
-                    "files": self._files,
-                    "feature_names": self.feature_names,
-                    "version": self.version,
-                    "rows": self._rows,
-                }
-            ),
-        )
-
     @classmethod
     def create(
         cls,
         directory: str | Path,
         blocks: Mapping[Region, RegionBlock],
         feature_names: Sequence[str],
-        backend: str = "npz",
-    ) -> TrainingDataStore:
-        """Write all blocks and the manifest, then open the store.
-
-        ``backend="npz"`` (default) spills one ``.npz`` per region;
-        ``backend="columnar"`` delegates to
-        :class:`repro.storage.columnar.ColumnarStore` (same directory layout
-        contract, different file format — see :func:`open_store`).
-        """
-        if backend == "columnar":
-            from .columnar import ColumnarStore
-
-            return ColumnarStore.create(directory, blocks, feature_names)
-        if backend != "npz":
-            raise StorageError(f"unknown storage backend {backend!r}")
+    ) -> "DiskStore":
+        """Write all blocks and the manifest, then open the store."""
         with cls.writer(directory, feature_names) as w:
             for region, block in blocks.items():
                 w.add(region, block)
@@ -418,8 +446,7 @@ class DiskStore(TrainingDataStore):
         self._apply_delta_to_blocks(delta, touched)
         for region in delta.drop_regions:
             (self._dir / self._files.pop(region)).unlink(missing_ok=True)
-            if self._rows is not None:
-                self._rows.pop(region, None)
+            self._rows.pop(region, None)
         next_idx = 1 + max(
             (int(name[len("region_"):-len(".npz")]) for name in self._files.values()),
             default=-1,
@@ -431,20 +458,23 @@ class DiskStore(TrainingDataStore):
                 next_idx += 1
                 self._files[region] = name
             self._write_block(self._dir / name, touched[region])
-            if self._rows is not None:
-                self._rows[region] = touched[region].n_examples
-        self._write_manifest()
+            self._rows[region] = touched[region].n_examples
+        _write_manifest(
+            self._dir, self.feature_names, self.version, self._files, self._rows
+        )
         return self.version
 
     @classmethod
     def from_memory(
         cls, directory: str | Path, store: MemoryStore, backend: str = "npz"
-    ) -> TrainingDataStore:
+    ) -> "DiskStore":
+        # ``backend`` admits only "npz"; it stays for existing callers.
+        if backend != "npz":
+            raise StorageError(f"unknown storage backend {backend!r}")
         return cls.create(
             directory,
             {r: store._fetch(r) for r in store.regions()},
             store.feature_names,
-            backend=backend,
         )
 
     def regions(self) -> list[Region]:
@@ -476,10 +506,7 @@ class DiskStore(TrainingDataStore):
 
     @property
     def n_examples_total(self) -> int:
-        if self._rows is not None:
-            return sum(self._rows.values())
-        # Pre-row-count manifest: the slow fallback is the only honest answer.
-        return super().n_examples_total
+        return sum(self._rows.values())
 
 
 class BlockWriter:
@@ -519,17 +546,7 @@ class BlockWriter:
 
     def finish(self) -> DiskStore:
         if self.store is None:
-            _atomic_write(
-                self._dir / DiskStore._MANIFEST,
-                pickle.dumps(
-                    {
-                        "files": self._files,
-                        "feature_names": self.feature_names,
-                        "version": 0,
-                        "rows": self._rows,
-                    }
-                ),
-            )
+            _write_manifest(self._dir, self.feature_names, 0, self._files, self._rows)
             self.store = DiskStore(self._dir)
         return self.store
 
@@ -539,19 +556,3 @@ class BlockWriter:
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is None:
             self.finish()
-
-
-def open_store(directory: str | Path) -> TrainingDataStore:
-    """Open an on-disk store, sniffing which backend wrote it.
-
-    A JSON manifest means :class:`repro.storage.columnar.ColumnarStore`; a
-    pickle manifest means :class:`DiskStore`.
-    """
-    directory = Path(directory)
-    from .columnar import ColumnarStore
-
-    if (directory / ColumnarStore.MANIFEST).exists():
-        return ColumnarStore(directory)
-    if (directory / DiskStore._MANIFEST).exists():
-        return DiskStore(directory)
-    raise StorageError(f"{directory} holds no npz or columnar manifest")

@@ -42,8 +42,12 @@ from repro.obs.catalog import (
 from repro.analysis.runtime import CUBE_TABLES_IO, TrackedLock
 from repro.obs.metrics import get_registry
 
-from .block_store import StorageError, _atomic_write
-from .columnar import region_from_json, region_to_json
+from .block_store import (
+    StorageError,
+    _atomic_write,
+    region_from_json,
+    region_to_json,
+)
 
 _BYTES_WRITTEN = get_registry().counter(CUBE_TABLES_BYTES_WRITTEN)
 _BYTES_READ = get_registry().counter(CUBE_TABLES_BYTES_READ)

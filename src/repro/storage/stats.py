@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from repro.obs.catalog import (
     STORE_BYTES_READ,
-    STORE_COLUMNAR_CHUNKS_READ,
     STORE_FULL_SCANS,
     STORE_REGION_READS,
 )
@@ -29,7 +28,6 @@ from repro.obs.metrics import get_registry
 _REGION_READS = get_registry().counter(STORE_REGION_READS)
 _FULL_SCANS = get_registry().counter(STORE_FULL_SCANS)
 _BYTES_READ = get_registry().counter(STORE_BYTES_READ)
-_CHUNKS_READ = get_registry().counter(STORE_COLUMNAR_CHUNKS_READ)
 
 
 @dataclass
@@ -49,17 +47,6 @@ class IOStats:
     def record_full_scan(self) -> None:
         self.full_scans += 1
         _FULL_SCANS.inc()
-
-    def record_chunk_read(self, n_bytes: int) -> None:
-        """One bounded-memory sub-block of a chunked scan.
-
-        Chunks are fragments of an already-counted full scan, so they add
-        bytes (the Lemma accounting stays truthful) without inflating
-        ``region_reads``; the chunk count lands on its own catalog counter.
-        """
-        self.bytes_read += n_bytes
-        _BYTES_READ.inc(n_bytes)
-        _CHUNKS_READ.inc()
 
     def reset(self) -> None:
         self.region_reads = 0

@@ -148,3 +148,62 @@ class TestSamplingBaseline:
             generator=small_generator,
         )
         assert np.isnan(smp.sample_error(budget=0.0, n_trials=2))
+
+
+class TestRefreshWithoutAllItemsProfile:
+    """refresh() on a search that never cached the all-items profile."""
+
+    @pytest.fixture()
+    def dataset(self):
+        from repro.datasets import make_mailorder
+
+        return make_mailorder(n_items=60, n_months=6)
+
+    def test_restricted_profiles_do_not_outlive_a_delta(self, dataset):
+        from repro.core import build_store
+        from repro.storage import BlockDelta, RegionBlock, StoreDelta
+
+        store, __, __ = build_store(dataset.task)
+        search = BasicBellwetherSearch(dataset.task, store)
+        subset = [int(i) for i in dataset.task.item_ids[::2]]
+        before = search.run(item_ids=subset)
+        assert before.found
+        # Move y in the subset's bellwether region.
+        region = before.bellwether.region
+        block = store.read(region)
+        shifted = np.random.default_rng(0).normal(0.0, 10.0, block.n_examples)
+        store.apply_delta(
+            StoreDelta(
+                {
+                    region: BlockDelta(
+                        append=RegionBlock(
+                            block.item_ids, block.x, block.y + shifted,
+                            block.weights,
+                        ),
+                        retract_ids=block.item_ids,
+                    )
+                }
+            )
+        )
+        search.refresh()
+        assert search.profile_version == store.version == 1
+        after = search.run(item_ids=subset)
+        fresh = BasicBellwetherSearch(dataset.task, store).run(item_ids=subset)
+        assert [(r.region, r.rmse) for r in after.feasible] == [
+            (r.region, r.rmse) for r in fresh.feasible
+        ]
+        assert after.feasible != before.feasible
+
+    def test_regions_added_by_a_delta_are_costed(self, dataset):
+        from repro.incremental import month_append_delta, month_split_store
+
+        gen, regions, store = month_split_store(dataset.task, base_month=5)
+        search = BasicBellwetherSearch(dataset.task, store)
+        added = month_append_delta(gen, regions, 6)
+        store.apply_delta(added)
+        profile = search.refresh()
+        assert set(added.blocks) & {r.region for r in profile}
+        fresh = BasicBellwetherSearch(dataset.task, store).evaluate_all()
+        assert [(r.region, r.cost, r.rmse) for r in profile] == [
+            (r.region, r.cost, r.rmse) for r in fresh
+        ]

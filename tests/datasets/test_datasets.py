@@ -154,19 +154,18 @@ class TestOutOfCoreScalability:
 
         from repro.datasets import write_scalability
 
-        a = write_scalability(
-            tmp_path / "col", n_items=80, n_regions=8, seed=5,
-            backend="columnar",
-        )
+        # Two writes from the same seed hold bit-identical training data.
+        a = write_scalability(tmp_path / "a", n_items=80, n_regions=8, seed=5)
         b = write_scalability(
-            tmp_path / "npz", n_items=80, n_regions=8, seed=5, backend="npz"
+            tmp_path / "b", n_items=80, n_regions=8, seed=5, backend="npz"
         )
         assert a.planted_regions == b.planted_regions
         assert a.n_examples_total == b.n_examples_total == 80 * 8
+        assert a.store.regions() == b.store.regions()
         for region in a.store.regions():
             x, y = a.store.read(region), b.store.read(region)
-            assert np.array_equal(x.x, y.x)
-            assert np.array_equal(x.y, y.y)
+            assert x.x.tobytes() == y.x.tobytes()
+            assert x.y.tobytes() == y.y.tobytes()
 
     def test_planted_regions_win_out_of_core(self, tmp_path):
         from repro.datasets import write_scalability
@@ -182,6 +181,11 @@ class TestOutOfCoreScalability:
 
         from repro.datasets import write_scalability
 
+        from repro.storage import DiskStore, MemoryStore, StorageError
+
         with pytest.raises(ConfigError, match="backend"):
             write_scalability(tmp_path / "s", n_items=10, n_regions=4,
                               backend="tape")
+        with pytest.raises(StorageError, match="backend"):
+            DiskStore.from_memory(tmp_path / "m", MemoryStore({}, ()),
+                                  backend="tape")

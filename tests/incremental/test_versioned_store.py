@@ -154,18 +154,34 @@ class TestMemoryStoreVersioning:
 
 
 class TestDiskStoreVersioning:
-    def test_delta_persists_across_reopen(self, tmp_path):
+    def test_delta_persists_across_reopen(self, tmp_path, monkeypatch):
+        import repro.storage.block_store as block_store_mod
+
         store = DiskStore.create(
             tmp_path, {A: _block([0, 1], seed=1)}, ("f0", "f1")
         )
-        store.apply_delta(
-            StoreDelta(
-                {
-                    A: BlockDelta(append=_block([2], seed=2)),
-                    B: BlockDelta(append=_block([3, 4], seed=3)),
-                }
-            )
+        delta = StoreDelta(
+            {
+                A: BlockDelta(append=_block([2], seed=2)),
+                B: BlockDelta(append=_block([3, 4], seed=3)),
+            }
         )
+        # A crash between write and rename leaves the old manifest intact.
+        manifest = tmp_path / DiskStore._MANIFEST
+        good = manifest.read_bytes()
+
+        def torn_replace(src, dst):
+            raise OSError("simulated crash between write and rename")
+
+        monkeypatch.setattr(block_store_mod.os, "replace", torn_replace)
+        with pytest.raises(OSError):
+            store.apply_delta(delta)
+        monkeypatch.undo()
+        assert manifest.read_bytes() == good
+        store = DiskStore(tmp_path)
+        assert (store.version, store.regions()) == (0, [A])
+
+        store.apply_delta(delta)
         reopened = DiskStore(tmp_path)
         assert reopened.version == 1
         assert set(reopened.regions()) == {A, B}

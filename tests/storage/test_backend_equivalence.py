@@ -1,10 +1,11 @@
-"""npz and columnar backends are interchangeable, bit for bit.
+"""The in-memory and npz stores are interchangeable, bit for bit.
 
-The same training data written through either backend must round-trip to
-identical arrays, and every algorithm downstream — the bellwether cube, the
-RF tree, the basic search — must produce *exactly* the same answers
-(``EXACT`` tolerance, not approximate), because both backends feed the same
-floats to the same deterministic kernels.
+The same training data held in a :class:`MemoryStore` and spilled to a
+:class:`DiskStore` must round-trip to identical arrays in the same scan
+order, and every algorithm downstream — the bellwether cube, the RF tree,
+the basic search — must produce *exactly* the same answers (``EXACT``
+tolerance, not approximate), because both stores feed the same floats to
+the same deterministic kernels.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from repro.core import (
 from repro.core.training_data import build_store
 from repro.datasets import make_mailorder
 from repro.ml import TrainingSetEstimator
-from repro.storage import ColumnarStore, DiskStore
+from repro.storage import DiskStore
 from repro.verify import (
     EXACT,
     assert_same_cube,
@@ -37,47 +38,50 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def stores(dataset, tmp_path_factory):
-    base = tmp_path_factory.mktemp("backends")
+    base = tmp_path_factory.mktemp("stores")
     mem, __, __ = build_store(dataset.task)
-    npz = DiskStore.from_memory(base / "npz", mem, backend="npz")
-    col = DiskStore.from_memory(base / "col", mem, backend="columnar")
-    assert isinstance(col, ColumnarStore)
-    return mem, npz, col
+    npz = DiskStore.from_memory(base / "npz", mem)
+    return mem, npz, DiskStore(base / "npz")
 
 
 class TestStoreEquivalence:
     def test_stores_identical(self, stores):
-        mem, npz, col = stores
+        mem, npz, reopened = stores
         assert_same_store(mem, npz, tol=EXACT)
-        assert_same_store(mem, col, tol=EXACT)
+        assert_same_store(mem, reopened, tol=EXACT)
 
     def test_scan_order_matches(self, stores):
-        __, npz, col = stores
-        assert [r for r, __b in npz.scan()] == [r for r, __b in col.scan()]
+        # Scan order decides bellwether tie-breaks, so the manifest must
+        # restore it exactly on reopen.
+        mem, npz, reopened = stores
+        order = [r for r, __b in mem.scan()]
+        assert [r for r, __b in npz.scan()] == order
+        assert [r for r, __b in reopened.scan()] == order
 
     def test_raw_bytes_round_trip(self, stores):
-        __, npz, col = stores
-        for region in npz.regions():
-            a, b = npz.read(region), col.read(region)
+        mem, npz, __ = stores
+        for region in mem.regions():
+            a, b = mem.read(region), npz.read(region)
+            assert a.item_ids.tobytes() == b.item_ids.tobytes()
             assert a.x.tobytes() == b.x.tobytes()
             assert a.y.tobytes() == b.y.tobytes()
 
 
 class TestAlgorithmEquivalence:
-    """The fig7/fig9 pipelines give bit-identical answers on both backends."""
+    """The fig7/fig9 pipelines give bit-identical answers on both stores."""
 
     def test_cube_exact(self, dataset, stores):
-        __, npz, col = stores
+        mem, npz, __ = stores
+        cube_mem = BellwetherCubeBuilder(
+            dataset.task, mem, dataset.hierarchies
+        ).build("optimized")
         cube_npz = BellwetherCubeBuilder(
             dataset.task, npz, dataset.hierarchies
         ).build("optimized")
-        cube_col = BellwetherCubeBuilder(
-            dataset.task, col, dataset.hierarchies
-        ).build("optimized")
-        assert_same_cube(cube_npz, cube_col, tol=EXACT)
+        assert_same_cube(cube_mem, cube_npz, tol=EXACT)
 
     def test_tree_exact(self, dataset, stores):
-        __, npz, col = stores
+        mem, npz, __ = stores
 
         def tree(store):
             return BellwetherTreeBuilder(
@@ -88,13 +92,13 @@ class TestAlgorithmEquivalence:
                 max_depth=2,
             ).build("rf")
 
-        assert_same_tree(tree(npz).root, tree(col).root)
+        assert_same_tree(tree(mem).root, tree(npz).root)
 
     def test_basic_search_profile_exact(self, dataset, stores):
-        __, npz, col = stores
+        mem, npz, __ = stores
+        prof_mem = BasicBellwetherSearch(dataset.task, mem).evaluate_all()
         prof_npz = BasicBellwetherSearch(dataset.task, npz).evaluate_all()
-        prof_col = BasicBellwetherSearch(dataset.task, col).evaluate_all()
-        assert diff_profiles(prof_npz, prof_col, tol=EXACT) == []
+        assert diff_profiles(prof_mem, prof_npz, tol=EXACT) == []
         assert np.array_equal(
-            [r.rmse for r in prof_npz], [r.rmse for r in prof_col]
+            [r.rmse for r in prof_mem], [r.rmse for r in prof_npz]
         )

@@ -1,9 +1,9 @@
-"""Tests for the columnar storage backend (``repro.storage.columnar``).
+"""Life-cycle tests for the npz :class:`repro.storage.DiskStore`.
 
-Covers byte-level round trips against the npz backend, streaming writers,
-bounded-memory chunked scans with their dedicated counters, delta
-application, backend sniffing, and the failure modes (missing pyarrow,
-corrupt manifests, torn manifest writes).
+Covers exact round trips, the streaming writer, delta application,
+opening a store directory, the one-value ``backend`` keyword of
+``from_memory``, and the failure modes (corrupt or missing manifests,
+damaged block files, torn manifest writes).
 """
 
 import json
@@ -12,17 +12,13 @@ import numpy as np
 import pytest
 
 from repro.dimensions import Region
-from repro.exceptions import ConfigError
-from repro.obs import get_registry
 from repro.storage import (
     BlockDelta,
-    ColumnarStore,
     DiskStore,
     MemoryStore,
     RegionBlock,
     StorageError,
     StoreDelta,
-    open_store,
 )
 
 
@@ -46,14 +42,14 @@ def blocks():
 
 
 @pytest.fixture()
-def columnar(blocks, tmp_path):
-    return ColumnarStore.create(tmp_path / "col", blocks, ("f0", "f1", "f2"))
+def store(blocks, tmp_path):
+    return DiskStore.create(tmp_path / "s", blocks, ("f0", "f1", "f2"))
 
 
 class TestRoundTrip:
-    def test_bit_for_bit_vs_source_blocks(self, columnar, blocks):
+    def test_bit_for_bit_vs_source_blocks(self, store, blocks):
         for region, src in blocks.items():
-            got = columnar.read(region)
+            got = store.read(region)
             assert np.array_equal(got.item_ids, src.item_ids)
             assert np.array_equal(got.x, src.x)
             assert np.array_equal(got.y, src.y)
@@ -62,120 +58,57 @@ class TestRoundTrip:
             else:
                 assert np.array_equal(got.weights, src.weights)
 
-    def test_bit_for_bit_vs_npz_backend(self, blocks, tmp_path):
-        names = ("f0", "f1", "f2")
-        col = ColumnarStore.create(tmp_path / "c", blocks, names)
-        npz = DiskStore.create(tmp_path / "n", blocks, names)
-        assert col.feature_names == npz.feature_names
-        assert set(col.regions()) == set(npz.regions())
-        for region in npz.regions():
-            a, b = col.read(region), npz.read(region)
-            assert np.array_equal(a.x, b.x)
-            assert np.array_equal(a.y, b.y)
-            assert np.array_equal(a.item_ids, b.item_ids)
-
-    def test_reopen_preserves_everything(self, columnar, blocks, tmp_path):
-        reopened = ColumnarStore(tmp_path / "col")
-        assert reopened.feature_names == columnar.feature_names
+    def test_reopen_preserves_everything(self, store, blocks, tmp_path):
+        reopened = DiskStore(tmp_path / "s")
+        assert reopened.feature_names == store.feature_names
         assert reopened.version == 0
+        assert reopened.regions() == list(blocks)
         for region, src in blocks.items():
             assert np.array_equal(reopened.read(region).x, src.x)
 
-    def test_unknown_region(self, columnar):
+    def test_unknown_region(self, store):
         with pytest.raises(StorageError):
-            columnar.read(Region(("ghost",)))
+            store.read(Region(("ghost",)))
 
-    def test_n_examples_total_without_block_reads(self, columnar):
-        before = columnar.stats.region_reads
-        assert columnar.n_examples_total == 7 + 5 + 3
-        assert columnar.stats.region_reads == before
+    def test_n_examples_total_without_block_reads(self, store):
+        before = store.stats.region_reads
+        assert store.n_examples_total == 7 + 5 + 3
+        assert store.stats.region_reads == before
 
 
 class TestWriter:
     def test_streaming_writer(self, blocks, tmp_path):
-        with ColumnarStore.writer(tmp_path / "w", ("f0", "f1", "f2")) as w:
+        with DiskStore.writer(tmp_path / "w", ("f0", "f1", "f2")) as w:
             for region, block in blocks.items():
                 w.add(region, block)
         assert w.store.n_examples_total == 15
+        assert w.store.regions() == list(blocks)
 
     def test_duplicate_region_rejected(self, tmp_path):
         with pytest.raises(StorageError, match="duplicate"):
-            with ColumnarStore.writer(tmp_path / "w", ("f0",)) as w:
+            with DiskStore.writer(tmp_path / "w", ("f0",)) as w:
                 w.add(Region(("a",)), _block(3, p=1))
                 w.add(Region(("a",)), _block(3, p=1))
 
     def test_feature_count_mismatch_rejected(self, tmp_path):
         with pytest.raises(StorageError):
-            with ColumnarStore.writer(tmp_path / "w", ("f0", "f1")) as w:
+            with DiskStore.writer(tmp_path / "w", ("f0", "f1")) as w:
                 w.add(Region(("a",)), _block(3, p=3))
 
     def test_aborted_writer_leaves_no_manifest(self, tmp_path):
         try:
-            with ColumnarStore.writer(tmp_path / "w", ("f0",)) as w:
+            with DiskStore.writer(tmp_path / "w", ("f0",)) as w:
                 w.add(Region(("a",)), _block(3, p=1))
                 raise RuntimeError("simulated crash")
         except RuntimeError:
             pass
-        assert not (tmp_path / "w" / ColumnarStore.MANIFEST).exists()
-
-    def test_unknown_codec_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            ColumnarStore.writer(tmp_path / "w", ("f0",), codec="zstd")
-
-    def test_parquet_codec_gated_without_pyarrow(self, tmp_path):
-        try:
-            import pyarrow  # noqa: F401
-        except ImportError:
-            pass
-        else:
-            pytest.skip("pyarrow installed; the ConfigError gate is unreachable")
-        with pytest.raises(ConfigError, match="repro\\[columnar\\]"):
-            ColumnarStore.writer(tmp_path / "w", ("f0",), codec="parquet")
-
-
-class TestChunkedScan:
-    def test_chunks_are_bounded_and_complete(self, columnar, blocks):
-        seen: dict[Region, list[RegionBlock]] = {}
-        for region, chunk in columnar.scan_chunks(chunk_rows=3):
-            assert chunk.n_examples <= 3
-            seen.setdefault(region, []).append(chunk)
-        for region, src in blocks.items():
-            x = np.concatenate([c.x for c in seen[region]])
-            y = np.concatenate([c.y for c in seen[region]])
-            assert np.array_equal(x, src.x)
-            assert np.array_equal(y, src.y)
-
-    def test_scan_counters(self, columnar):
-        registry = get_registry()
-        before = registry.counter_values()
-        scans0 = columnar.stats.full_scans
-        reads0 = columnar.stats.region_reads
-        chunks = sum(1 for __ in columnar.scan_chunks(chunk_rows=2))
-        after = registry.counter_values()
-        # ceil(7/2) + ceil(5/2) + ceil(3/2) chunks
-        assert chunks == 4 + 3 + 2
-        assert columnar.stats.full_scans == scans0 + 1
-        assert columnar.stats.region_reads == reads0
-        delta = after.get("store.columnar.chunks_read", 0) - before.get(
-            "store.columnar.chunks_read", 0
-        )
-        assert delta == chunks
-
-    def test_chunk_rows_validated(self, columnar):
-        with pytest.raises(ConfigError):
-            list(columnar.scan_chunks(chunk_rows=0))
-
-    def test_plain_scan_still_works(self, columnar, blocks):
-        scanned = dict(columnar.scan())
-        assert set(scanned) == set(blocks)
-        for region, src in blocks.items():
-            assert np.array_equal(scanned[region].x, src.x)
+        assert not (tmp_path / "w" / DiskStore._MANIFEST).exists()
 
 
 class TestDeltas:
     def test_apply_delta_matches_memory_store(self, blocks, tmp_path):
         names = ("f0", "f1", "f2")
-        col = ColumnarStore.create(tmp_path / "c", blocks, names)
+        disk = DiskStore.create(tmp_path / "d", blocks, names)
         mem = MemoryStore(dict(blocks), names)
         appended = RegionBlock(
             item_ids=np.arange(101, 105),
@@ -193,124 +126,92 @@ class TestDeltas:
             },
             drop_regions=(Region(("c",)),),
         )
-        col.apply_delta(delta)
+        disk.apply_delta(delta)
         mem.apply_delta(delta)
-        assert col.version == mem.version == 1
-        assert set(col.regions()) == set(mem.regions())
+        assert disk.version == mem.version == 1
+        assert set(disk.regions()) == set(mem.regions())
         for region in mem.regions():
-            a, b = col.read(region), mem.read(region)
+            a, b = disk.read(region), mem.read(region)
             assert np.array_equal(a.x, b.x)
             assert np.array_equal(a.y, b.y)
             assert np.array_equal(a.item_ids, b.item_ids)
 
     def test_version_survives_reopen(self, blocks, tmp_path):
-        col = ColumnarStore.create(tmp_path / "c", blocks, ("f0", "f1", "f2"))
-        col.apply_delta(
+        disk = DiskStore.create(tmp_path / "d", blocks, ("f0", "f1", "f2"))
+        disk.apply_delta(
             StoreDelta(blocks={Region(("z",)): BlockDelta(append=_block(2, seed=5))})
         )
-        assert ColumnarStore(tmp_path / "c").version == 1
+        assert DiskStore(tmp_path / "d").version == 1
 
     def test_dropped_region_file_removed(self, blocks, tmp_path):
-        col = ColumnarStore.create(tmp_path / "c", blocks, ("f0", "f1", "f2"))
-        n_files_before = len(list((tmp_path / "c").glob("region_*")))
-        col.apply_delta(StoreDelta(blocks={}, drop_regions=(Region(("b",)),)))
-        assert len(list((tmp_path / "c").glob("region_*"))) == n_files_before - 1
+        disk = DiskStore.create(tmp_path / "d", blocks, ("f0", "f1", "f2"))
+        n_files_before = len(list((tmp_path / "d").glob("region_*")))
+        disk.apply_delta(StoreDelta(blocks={}, drop_regions=(Region(("b",)),)))
+        assert len(list((tmp_path / "d").glob("region_*"))) == n_files_before - 1
         with pytest.raises(StorageError):
-            col.read(Region(("b",)))
+            disk.read(Region(("b",)))
 
 
 class TestOpenStore:
-    def test_sniffs_columnar(self, columnar, tmp_path):
-        assert isinstance(open_store(tmp_path / "col"), ColumnarStore)
-
     def test_sniffs_npz(self, blocks, tmp_path):
         DiskStore.create(tmp_path / "n", blocks, ("f0", "f1", "f2"))
-        assert isinstance(open_store(tmp_path / "n"), DiskStore)
+        assert set(DiskStore(tmp_path / "n").regions()) == set(blocks)
 
     def test_neither_backend_raises(self, tmp_path):
-        with pytest.raises(StorageError, match="no npz or columnar manifest"):
-            open_store(tmp_path)
+        with pytest.raises(StorageError, match="no manifest"):
+            DiskStore(tmp_path)
 
 
 class TestBackendSwitch:
-    def test_create_dispatches_to_columnar(self, blocks, tmp_path):
-        store = DiskStore.create(
-            tmp_path / "s", blocks, ("f0", "f1", "f2"), backend="columnar"
-        )
-        assert isinstance(store, ColumnarStore)
-
     def test_create_rejects_unknown_backend(self, blocks, tmp_path):
+        mem = MemoryStore(dict(blocks), ("f0", "f1", "f2"))
         with pytest.raises(StorageError, match="unknown storage backend"):
-            DiskStore.create(tmp_path / "s", blocks, ("f0", "f1", "f2"),
-                             backend="tape")
+            DiskStore.from_memory(tmp_path / "s", mem, backend="tape")
+        assert not (tmp_path / "s").exists()
 
     def test_from_memory_backend_switch(self, blocks, tmp_path):
         mem = MemoryStore(dict(blocks), ("f0", "f1", "f2"))
-        store = DiskStore.from_memory(tmp_path / "s", mem, backend="columnar")
-        assert isinstance(store, ColumnarStore)
+        store = DiskStore.from_memory(tmp_path / "s", mem, backend="npz")
+        assert isinstance(store, DiskStore)
+        assert store.regions() == mem.regions()
         for region in mem.regions():
             assert np.array_equal(store.read(region).x, mem.read(region).x)
 
 
 class TestFaults:
-    def test_corrupt_manifest(self, columnar, tmp_path):
-        (tmp_path / "col" / ColumnarStore.MANIFEST).write_text("{not json")
+    def test_corrupt_manifest(self, store, tmp_path):
+        (tmp_path / "s" / DiskStore._MANIFEST).write_text("{not json")
         with pytest.raises(StorageError):
-            ColumnarStore(tmp_path / "col")
+            DiskStore(tmp_path / "s")
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(StorageError):
-            ColumnarStore(tmp_path / "nowhere")
+            DiskStore(tmp_path / "nowhere")
 
-    def test_wrong_format_tag(self, columnar, tmp_path):
-        path = tmp_path / "col" / ColumnarStore.MANIFEST
+    def test_wrong_format_tag(self, store, tmp_path):
+        path = tmp_path / "s" / DiskStore._MANIFEST
         meta = json.loads(path.read_text())
         meta["format"] = "something-else"
         path.write_text(json.dumps(meta))
         with pytest.raises(StorageError):
-            ColumnarStore(tmp_path / "col")
+            DiskStore(tmp_path / "s")
 
-    def test_missing_column_file(self, columnar, tmp_path):
-        region = columnar.regions()[0]
-        (tmp_path / "col" / columnar._meta[region]["file"]).unlink()
+    def test_missing_column_file(self, store, tmp_path):
+        region = store.regions()[0]
+        (tmp_path / "s" / store._files[region]).unlink()
         with pytest.raises(StorageError):
-            columnar.read(region)
+            store.read(region)
 
-    def test_truncated_column_file(self, columnar, tmp_path):
-        region = columnar.regions()[0]
-        path = tmp_path / "col" / columnar._meta[region]["file"]
+    def test_truncated_column_file(self, store, tmp_path):
+        region = store.regions()[0]
+        path = tmp_path / "s" / store._files[region]
         path.write_bytes(path.read_bytes()[:8])
         with pytest.raises(StorageError):
-            columnar.read(region)
+            store.read(region)
 
 
 class TestAtomicManifests:
     """A torn manifest write must never corrupt the previous manifest."""
-
-    def test_columnar_manifest_survives_failed_replace(
-        self, blocks, tmp_path, monkeypatch
-    ):
-        col = ColumnarStore.create(tmp_path / "c", blocks, ("f0", "f1", "f2"))
-        manifest = tmp_path / "c" / ColumnarStore.MANIFEST
-        good = manifest.read_bytes()
-
-        def torn_replace(src, dst):
-            raise OSError("simulated crash between write and rename")
-
-        import repro.storage.block_store as block_store_mod
-
-        monkeypatch.setattr(block_store_mod.os, "replace", torn_replace)
-        with pytest.raises(OSError):
-            col.apply_delta(
-                StoreDelta(
-                    blocks={Region(("new",)): BlockDelta(append=_block(2, seed=7))}
-                )
-            )
-        monkeypatch.undo()
-        assert manifest.read_bytes() == good
-        reopened = ColumnarStore(tmp_path / "c")
-        assert reopened.version == 0
-        assert set(reopened.regions()) == set(blocks)
 
     def test_npz_manifest_survives_failed_replace(
         self, blocks, tmp_path, monkeypatch

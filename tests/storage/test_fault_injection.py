@@ -7,6 +7,8 @@ cache written against another store version raises
 from a full scan instead of serving stale statistics.
 """
 
+import json
+import os
 import pickle
 
 import numpy as np
@@ -57,6 +59,8 @@ class TestBrokenBlocks:
         _block_path(disk_store, region).unlink()
         with pytest.raises(StorageError, match="unreadable block"):
             disk_store.read(region)
+        with pytest.raises(StorageError, match="unknown region"):
+            disk_store.read(Region(("ghost",)))
 
     def test_scan_surfaces_broken_block(self, disk_store):
         region = disk_store.regions()[1]
@@ -82,10 +86,46 @@ class TestBrokenManifest:
             DiskStore(tmp_path / "nowhere")
 
     def test_wrong_shape_manifest_raises_storage_error(self, disk_store):
-        with (disk_store._dir / DiskStore._MANIFEST).open("wb") as f:
-            pickle.dump(["not", "a", "dict"], f)
-        with pytest.raises(StorageError, match="corrupt manifest"):
-            DiskStore(disk_store._dir)
+        path = disk_store._dir / DiskStore._MANIFEST
+        good = json.loads(path.read_text())
+        for bad in (["not", "a", "dict"], {**good, "format": "something-else"}):
+            path.write_text(json.dumps(bad))
+            with pytest.raises(StorageError, match="corrupt manifest"):
+                DiskStore(disk_store._dir)
+
+    @pytest.mark.parametrize(
+        "open_dir, names",
+        [
+            (DiskStore, ("manifest.pkl", "manifest.json")),
+            (
+                lambda d: SuffStatsCache(d).load(0, n_cells=3, p=3),
+                ("suffstats_meta.pkl", "suffstats_meta.json"),
+            ),
+        ],
+        ids=["disk_store", "suffstats_cache"],
+    )
+    def test_pickle_metadata_is_never_unpickled(self, tmp_path, open_dir, names):
+        # A pickle that would create a marker file when loaded: under its
+        # legacy name or the current one, opening must refuse it unread.
+        marker = tmp_path / "unpickled"
+        payload = pickle.dumps(_TouchOnLoad(str(marker)))
+        for name in names:
+            directory = tmp_path / name.replace(".", "_")
+            directory.mkdir()
+            (directory / name).write_bytes(payload)
+            with pytest.raises(StorageError):
+                open_dir(directory)
+        assert not marker.exists()
+
+
+class _TouchOnLoad:
+    """Pickles to a call that creates ``path`` when unpickled."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def __reduce__(self):
+        return (os.mkdir, (self.path,))
 
 
 def _stacks(n_cells: int = 3, p: int = 3) -> dict[Region, StackedSuffStats]:

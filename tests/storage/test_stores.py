@@ -14,12 +14,15 @@ from repro.storage import (
 )
 
 
-def _block(n: int, p: int = 2, seed: int = 0) -> RegionBlock:
+def _block(
+    n: int, p: int = 2, seed: int = 0, weighted: bool = False
+) -> RegionBlock:
     rng = np.random.default_rng(seed)
     return RegionBlock(
         item_ids=np.arange(1, n + 1),
         x=rng.normal(size=(n, p)),
         y=rng.normal(size=n),
+        weights=rng.uniform(0.5, 2.0, size=n) if weighted else None,
     )
 
 
@@ -80,14 +83,32 @@ class TestMemoryStore:
 
 class TestDiskStore:
     def test_roundtrip(self, memory_store, tmp_path):
-        disk = DiskStore.from_memory(tmp_path / "store", memory_store)
-        assert set(disk.regions()) == set(memory_store.regions())
-        for region in memory_store.regions():
-            a = memory_store._fetch(region)
-            b = disk._fetch(region)
-            assert np.allclose(a.x, b.x)
-            assert np.allclose(a.y, b.y)
-            assert list(a.item_ids) == list(b.item_ids)
+        # One weighted block too: WLS weights must survive the round trip.
+        weighted = MemoryStore(
+            {
+                **{r: memory_store._fetch(r) for r in memory_store.regions()},
+                Region(("w",)): _block(4, seed=9, weighted=True),
+            },
+            memory_store.feature_names,
+        )
+        disk = DiskStore.from_memory(tmp_path / "store", weighted)
+        reopened = DiskStore(tmp_path / "store")
+        for store in (disk, reopened):
+            # Same regions in the same scan order, row counts from the
+            # manifest alone (no block read).
+            assert store.regions() == weighted.regions()
+            assert store.n_examples_total == weighted.n_examples_total
+            assert store.stats.region_reads == 0
+            for region in weighted.regions():
+                a = weighted._fetch(region)
+                b = store._fetch(region)
+                assert np.array_equal(a.x, b.x)
+                assert np.array_equal(a.y, b.y)
+                assert np.array_equal(a.item_ids, b.item_ids)
+                if a.weights is None:
+                    assert b.weights is None
+                else:
+                    assert np.array_equal(a.weights, b.weights)
 
     def test_read_hits_disk_every_time(self, memory_store, tmp_path):
         disk = DiskStore.from_memory(tmp_path / "store", memory_store)
@@ -99,10 +120,22 @@ class TestDiskStore:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(StorageError):
             DiskStore(tmp_path)
+        # A writer aborted mid-build (here by a duplicate region) writes no
+        # manifest, so its directory never opens as a complete store.
+        with pytest.raises(StorageError, match="duplicate"):
+            with DiskStore.writer(tmp_path / "w", ("f0", "f1")) as w:
+                w.add(Region(("a",)), _block(3))
+                w.add(Region(("a",)), _block(3))
+        with pytest.raises(StorageError, match="no manifest"):
+            DiskStore(tmp_path / "w")
 
     def test_feature_names_preserved(self, memory_store, tmp_path):
         disk = DiskStore.from_memory(tmp_path / "store", memory_store)
         assert disk.feature_names == memory_store.feature_names
+        assert DiskStore(tmp_path / "store").feature_names == disk.feature_names
+        with pytest.raises(StorageError, match="features"):
+            with DiskStore.writer(tmp_path / "w", ("f0", "f1")) as w:
+                w.add(Region(("a",)), _block(3, p=3))
 
 
 class TestFilteredStore:
